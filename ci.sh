@@ -51,6 +51,15 @@ echo "== cargo test --release (workspace, consolidated) =="
 # test (tests/determinism.rs) all run here at release timings.
 cargo test -q --release --workspace
 
+echo "== mbbench goldens (scale-1 smoke of every workload + self-check) =="
+# The benchmark is a package of its own (crates/bench/src/bin/mbbench),
+# outside the workspace pass above. Its tests boot all four workloads at
+# scale 1 against their pinned goldens, the VCD hash included, so a
+# kernel change cannot drift a golden unnoticed; self-check re-derives
+# the rung 6/11 determinism rows through both platform builders.
+cargo test -q --release --manifest-path crates/bench/src/bin/mbbench/Cargo.toml
+cargo run -q --release --manifest-path crates/bench/src/bin/mbbench/Cargo.toml -- self-check
+
 echo "== campaign smoke (fig2 --quick --jobs 2) =="
 cargo run --release -q -p mbsim-bench --bin fig2 -- \
     --quick --jobs 2 --json /tmp/fig2_campaign.json >/dev/null

@@ -11,6 +11,15 @@
 //! 3. When no more delta cycles are pending, simulated time advances to the
 //!    earliest entry of the timed-event queue.
 //!
+//! A delta cycle pays only for work someone can observe. A write of the
+//! signal's current value requests no update (as `sc_signal::write`), a
+//! static trigger that a multicycle sleep ([`Next::Cycles`]) swallows is
+//! counted where it arrives instead of queueing an activation, and the
+//! runnable queue, update queue and dynamic-waiter lists swap with spare
+//! buffers the kernel keeps, so a steady-state delta cycle allocates
+//! nothing. The only per-activation allocation left is the thread wait
+//! frame, the deliberate cost model below.
+//!
 //! Processes come in two flavours mirroring `SC_METHOD` and `SC_THREAD`;
 //! see [`module@crate::process`] docs for the cost model, which is what the
 //! paper's §4.3 experiment measures.
@@ -140,7 +149,11 @@ pub struct Stats {
     pub activations: u64,
     /// Number of completed delta cycles.
     pub deltas: u64,
-    /// Number of committed signal updates.
+    /// Number of committed channel updates that changed a value. A write
+    /// requests an update only when its value differs from the signal's
+    /// current one (SystemC `sc_signal::write` semantics), and a request
+    /// written back to the current value within its delta commits
+    /// nothing; neither is counted.
     pub updates: u64,
     /// Number of distinct points in time visited.
     pub timed_steps: u64,
@@ -187,6 +200,12 @@ pub(crate) struct KernelShared {
     /// [`ChannelCkpt`]); identically elaborated models share this order,
     /// which is what lets a snapshot restore by index.
     pub(crate) channels: RefCell<Vec<Rc<dyn ChannelCkpt>>>,
+    /// Spare buffers swapped with the runnable queue, the update queue and
+    /// an event's dynamic waiters as each is drained, so every delta cycle
+    /// reuses the capacity the previous ones grew.
+    spare_batch: RefCell<Vec<ProcId>>,
+    spare_updates: RefCell<Vec<Rc<dyn Update>>>,
+    spare_subs: RefCell<Vec<ProcId>>,
 }
 
 impl KernelShared {
@@ -206,6 +225,9 @@ impl KernelShared {
             rng: Cell::new(0),
             max_phase: Cell::new(0),
             channels: RefCell::new(Vec::new()),
+            spare_batch: RefCell::new(Vec::new()),
+            spare_updates: RefCell::new(Vec::new()),
+            spare_subs: RefCell::new(Vec::new()),
         }
     }
 
@@ -287,6 +309,11 @@ impl KernelShared {
     /// Schedules `pid` to run in the next delta cycle. `from_static` marks
     /// a static-sensitivity trigger, which is ignored while the process is
     /// parked in a dynamic (timed or event) wait — SystemC semantics.
+    ///
+    /// A static trigger to a process in multicycle sleep is counted here
+    /// rather than queued: it decrements `skip`, once per trigger window
+    /// (see [`WriteHub::window`]), just as a queued process coalesces
+    /// repeated triggers on `scheduled` until it runs.
     fn schedule_proc(&self, pid: ProcId, from_static: bool) {
         let mut procs = self.procs.borrow_mut();
         let slot = &mut procs[pid.0];
@@ -302,17 +329,26 @@ impl KernelShared {
             slot.woken_while_suspended = true;
             return;
         }
-        if !slot.scheduled {
-            slot.scheduled = true;
-            drop(procs);
-            self.pending.borrow_mut().push(pid);
+        if slot.scheduled {
+            return;
         }
+        let window = self.hub.window.get();
+        if from_static && (slot.skip > 0 || slot.counted_in == window) {
+            if slot.counted_in != window {
+                slot.skip -= 1;
+                slot.counted_in = window;
+            }
+            return;
+        }
+        slot.scheduled = true;
+        drop(procs);
+        self.pending.borrow_mut().push(pid);
     }
 
     /// Notifies `ev` with delta semantics: subscribers run in the next
     /// delta cycle of the current time point.
     pub(crate) fn notify_now(&self, ev: EventId) {
-        let dyn_subs = {
+        let mut dyn_subs = {
             let mut events = self.events.borrow_mut();
             let e = &mut events[ev.0];
             // Static subscribers: iterate without allocating when possible.
@@ -321,9 +357,13 @@ impl KernelShared {
                 // schedule_proc borrows procs/pending, not events.
                 self.schedule_proc(pid, true);
             }
-            std::mem::take(&mut e.dyn_subs)
+            if e.dyn_subs.is_empty() {
+                return;
+            }
+            // The event keeps the spare's capacity for its next waiters.
+            std::mem::replace(&mut e.dyn_subs, self.spare_subs.take())
         };
-        for pid in dyn_subs {
+        for &pid in &dyn_subs {
             {
                 let mut procs = self.procs.borrow_mut();
                 let slot = &mut procs[pid.0];
@@ -335,6 +375,8 @@ impl KernelShared {
             }
             self.schedule_proc(pid, false);
         }
+        dyn_subs.clear();
+        *self.spare_subs.borrow_mut() = dyn_subs;
     }
 
     /// Executes one process activation and re-arms its wait state.
@@ -353,6 +395,11 @@ impl KernelShared {
                 return;
             }
             if slot.skip > 0 {
+                // A wake-up queued during multicycle sleep — resume's
+                // replay, a self-trigger during the activation that went
+                // to sleep, or a runnable queue restored from a snapshot
+                // taken before static triggers were counted on arrival —
+                // counts as one trigger.
                 slot.skip -= 1;
                 return;
             }
@@ -443,12 +490,15 @@ impl KernelShared {
                 if pending.is_empty() && self.hub.updates.borrow().is_empty() {
                     break;
                 }
-                std::mem::take(&mut *pending)
+                std::mem::replace(&mut *pending, self.spare_batch.take())
             };
+            self.hub.advance_window();
             self.arrange(&mut batch);
-            for pid in batch {
+            for &pid in &batch {
                 self.run_process(pid);
             }
+            batch.clear();
+            *self.spare_batch.borrow_mut() = batch;
             if self.hub.race_on.get() {
                 // Race detector: cross-check this delta's evaluate-phase
                 // plain-state access log.
@@ -460,14 +510,18 @@ impl KernelShared {
             // Commits apply in canonical (registration) key order, not in
             // evaluation (request) order, so commit side effects — change
             // notifications, VCD records — are schedule-independent.
-            let mut ups: Vec<Rc<dyn Update>> = std::mem::take(&mut *self.hub.updates.borrow_mut());
+            let mut ups =
+                std::mem::replace(&mut *self.hub.updates.borrow_mut(), self.spare_updates.take());
             if ups.len() > 1 {
                 ups.sort_by_key(|u| u.order_key());
             }
+            // A request that commits nothing takes itself back off this
+            // count in `apply`.
             self.stats.updates.set(self.stats.updates.get() + ups.len() as u64);
-            for u in ups {
+            for u in ups.drain(..) {
                 u.apply(self);
             }
+            *self.spare_updates.borrow_mut() = ups;
             self.stats.deltas.set(self.stats.deltas.get() + 1);
             if self.hub.probe_on.get() {
                 let n = self.hub.deltas_this_step.get() + 1;
@@ -594,6 +648,15 @@ impl Simulator {
     /// Runs until simulated time reaches `limit` (inclusive of events *at*
     /// `limit`), the event queue starves, or `stop()` is called.
     pub fn run_until(&self, limit: SimTime) -> RunReason {
+        let reason = self.run_to(limit);
+        // A trigger window never spans a run boundary, so a kernel
+        // restored from a snapshot taken here counts multicycle-sleep
+        // triggers exactly as the original does.
+        self.k.hub.advance_window();
+        reason
+    }
+
+    fn run_to(&self, limit: SimTime) -> RunReason {
         let k = &self.k;
         k.stop.set(false);
         loop {
@@ -602,34 +665,34 @@ impl Simulator {
                 return RunReason::Stopped;
             }
             // Advance time.
-            let actions: Vec<Action> = {
-                let mut timed = k.timed.borrow_mut();
+            let t = {
+                let timed = k.timed.borrow();
                 match timed.peek() {
                     None => return RunReason::Starved,
                     Some(Reverse(e)) if e.time > limit => {
                         k.now.set(limit);
                         return RunReason::TimeReached;
                     }
-                    Some(Reverse(e)) => {
-                        let t = e.time;
-                        k.now.set(t);
-                        k.stats.timed_steps.set(k.stats.timed_steps.get() + 1);
-                        if k.hub.probe_on.get() {
-                            k.hub.commit_armed.set(false);
-                            k.hub.deltas_this_step.set(0);
-                        }
-                        let mut actions = Vec::new();
-                        while let Some(Reverse(e)) = timed.peek() {
-                            if e.time != t {
-                                break;
-                            }
-                            actions.push(timed.pop().expect("peeked").0.action);
-                        }
-                        actions
-                    }
+                    Some(Reverse(e)) => e.time,
                 }
             };
-            for a in actions {
+            k.now.set(t);
+            k.hub.advance_window();
+            k.stats.timed_steps.set(k.stats.timed_steps.get() + 1);
+            if k.hub.probe_on.get() {
+                k.hub.commit_armed.set(false);
+                k.hub.deltas_this_step.set(0);
+            }
+            // Handle the actions for `t` straight off the heap, in
+            // (time, seq) order: handling one never pushes a timed entry.
+            loop {
+                let a = {
+                    let mut timed = k.timed.borrow_mut();
+                    match timed.peek() {
+                        Some(Reverse(e)) if e.time == t => timed.pop().expect("peeked").0.action,
+                        _ => break,
+                    }
+                };
                 match a {
                     Action::Resume(pid) => {
                         let resumable = {
@@ -835,6 +898,11 @@ impl Simulator {
     /// region's outgoing personality is suspended (cheap, resumable), the
     /// incoming one is spawned or resumed. No-op unless the process is
     /// [`LifeState::Live`](crate::probe::LifeState).
+    ///
+    /// A process in multicycle sleep ([`Next::Cycles`]) keeps the triggers
+    /// it counted before the suspend, as SystemC counts `wait(n)` triggers
+    /// as they arrive; the triggers arriving while it is suspended count
+    /// as the one wake-up [`Simulator::resume`] replays.
     pub fn suspend(&self, pid: ProcId) {
         let hooks = {
             let mut procs = self.k.procs.borrow_mut();
@@ -1348,6 +1416,7 @@ impl ProcBuilder<'_> {
                 body: Some(body),
                 wait: Wait::Static,
                 skip: 0,
+                counted_in: 0,
                 scheduled: self.init,
                 life: crate::probe::LifeState::Live,
                 woken_while_suspended: false,

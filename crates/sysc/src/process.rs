@@ -28,6 +28,12 @@ pub enum Next {
     Delta,
     /// Run again on the *n*-th future trigger of the static sensitivity
     /// (`wait()` for `n == 1`; multicycle sleep for `n > 1`, §4.5.2).
+    ///
+    /// The kernel counts the swallowed triggers as they arrive, without
+    /// queueing an activation for them. Triggers within one window — one
+    /// delta cycle's evaluate and update phases, or the timed
+    /// notifications of one time point — count once, as they would wake
+    /// a waiting process once.
     Cycles(u32),
     /// Run again after a fixed simulated time (`wait(t)`); static
     /// sensitivity is ignored while parked.
@@ -70,8 +76,13 @@ pub(crate) struct ProcSlot {
     pub(crate) phase: u8,
     pub(crate) body: Option<Body>,
     pub(crate) wait: Wait,
-    /// Remaining static triggers to swallow (multicycle sleep).
+    /// Remaining static triggers to swallow (multicycle sleep), counted
+    /// down as they arrive.
     pub(crate) skip: u32,
+    /// Trigger window (see `WriteHub::window`) of the last static trigger
+    /// counted against `skip`; later triggers in that window coalesce
+    /// with it.
+    pub(crate) counted_in: u64,
     /// Already queued for the next delta (dedup flag).
     pub(crate) scheduled: bool,
     /// Runtime lifecycle (DPR): live, suspended, or killed.

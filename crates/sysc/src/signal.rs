@@ -64,6 +64,13 @@ pub(crate) struct WriteHub {
     /// pending updates commit in key order each delta, making commit
     /// order (and thus VCD bytes) independent of evaluation order.
     pub(crate) order_seq: Cell<u64>,
+    /// Trigger-window counter: advances when an evaluate phase begins,
+    /// when time advances and when a run returns, so one window is one
+    /// delta cycle (evaluate plus update phase) or one time point's timed
+    /// notifications. Multicycle-sleep trigger counting and the signal
+    /// race window compare stamps against it. Starts at 1, so a zeroed
+    /// stamp never matches.
+    pub(crate) window: Cell<u64>,
 }
 
 impl Default for WriteHub {
@@ -83,11 +90,17 @@ impl Default for WriteHub {
             cur_phase: Cell::new(0),
             states: RefCell::new(Vec::new()),
             order_seq: Cell::new(0),
+            window: Cell::new(1),
         }
     }
 }
 
 impl WriteHub {
+    /// Opens the next trigger window (see [`WriteHub::window`]).
+    pub(crate) fn advance_window(&self) {
+        self.window.set(self.window.get() + 1);
+    }
+
     /// Hands out the next canonical update-commit key (one per channel,
     /// in registration order).
     pub(crate) fn next_order_key(&self) -> u64 {
@@ -207,11 +220,14 @@ pub(crate) struct SignalCore<T: SigValue> {
     /// Writer counterpart of `probe_read`.
     probe_rec: Cell<u32>,
     /// Race window: who last wrote this signal. Only consulted while
-    /// `pending` is set — and a pending signal was by definition written
-    /// earlier in the *current* delta, so no generation counter is needed.
-    /// A second process writing a different value while pending is a
-    /// scheduling race.
+    /// `probe_written_in` equals the hub's current window, i.e. for a
+    /// write earlier in the *current* delta — whether or not that write
+    /// requested an update. A second process writing a different value
+    /// then is a scheduling race.
     probe_last_writer: Cell<u32>,
+    /// Trigger window (see [`WriteHub::window`]) of the last plain write
+    /// observed by the probe.
+    probe_written_in: Cell<u64>,
     /// Evaluation phase of the last writer (race-detector companion of
     /// `probe_last_writer`; maintained only while the detector is on).
     probe_last_phase: Cell<u8>,
@@ -228,8 +244,20 @@ impl<T: SigValue> SignalCore<T> {
         if self.hub.probe_on.get() {
             self.probe_plain_write(&v);
         }
+        self.set_next(v);
+    }
+
+    /// Records `v` as the value to commit and, as `sc_signal::write` does,
+    /// requests an update only if it differs from the current value. A
+    /// write-back of the current value after a changing write in the same
+    /// delta leaves the request queued; its commit then changes nothing
+    /// and fires no event.
+    fn set_next(self: &Rc<Self>, v: T) {
+        let changes = v != *self.cur.borrow();
         *self.next.borrow_mut() = v;
-        self.mark_pending();
+        if changes && !self.pending.replace(true) {
+            self.hub.updates.borrow_mut().push(self.clone() as Rc<dyn Update>);
+        }
     }
 
     /// Probe hook for unresolved writes: detect same-delta races on the
@@ -239,10 +267,10 @@ impl<T: SigValue> SignalCore<T> {
     #[inline]
     fn probe_plain_write(&self, v: &T) {
         let writer = self.hub.cur_proc.get();
-        // A race needs an earlier request by a *different* process for a
-        // *different* value within this same delta cycle — and `pending`
-        // set means exactly "already written this delta".
-        if self.pending.get() {
+        // A race needs an earlier write by a *different* process of a
+        // *different* value within this same delta cycle.
+        let window = self.hub.window.get();
+        if self.probe_written_in.replace(window) == window {
             let prev = self.probe_last_writer.get();
             if prev != writer && prev != NO_PROC && writer != NO_PROC && *self.next.borrow() != *v {
                 self.probe_race_miss(prev, writer);
@@ -309,20 +337,13 @@ impl<T: SigValue> SignalCore<T> {
             drivers[driver] = v;
             T::resolve(&drivers)
         };
-        *self.next.borrow_mut() = resolved;
-        self.mark_pending();
+        self.set_next(resolved);
     }
 
     /// Probe hook for driver-slot writes. No race window: conflicts on
     /// resolved signals surface as `X` lanes at commit instead.
     fn probe_driver_write(&self) {
         self.probe_record_write(self.hub.cur_proc.get());
-    }
-
-    fn mark_pending(self: &Rc<Self>) {
-        if !self.pending.replace(true) {
-            self.hub.updates.borrow_mut().push(self.clone() as Rc<dyn Update>);
-        }
     }
 }
 
@@ -338,6 +359,9 @@ impl<T: SigValue> Update for SignalCore<T> {
         {
             let mut cur = self.cur.borrow_mut();
             if *cur == next {
+                // Written back to the current value within its delta: the
+                // request commits nothing and is not counted as an update.
+                k.stats.updates.set(k.stats.updates.get() - 1);
                 return;
             }
             old_level = cur.edge_level();
@@ -460,6 +484,7 @@ impl<T: SigValue> Signal<T> {
             probe_write_lo: Cell::new(0),
             probe_rec: Cell::new(READ_CACHE_INIT),
             probe_last_writer: Cell::new(NO_PROC),
+            probe_written_in: Cell::new(0),
             probe_last_phase: Cell::new(0),
             order_key: k.hub.next_order_key(),
         });
@@ -498,6 +523,12 @@ impl<T: SigValue> Signal<T> {
     }
 
     /// Requests a write; takes effect in the update phase of this delta.
+    ///
+    /// As with `sc_signal::write`, only a value that differs from the
+    /// current one requests an update: writing the current value costs no
+    /// update and fires no event. The last write of a delta still decides
+    /// what is committed, so a write followed by a write-back of the
+    /// current value commits nothing.
     ///
     /// For resolved types this writes *without* a driver slot (useful for
     /// tests and single-driver nets); bus models should write through an

@@ -17,6 +17,7 @@
 
 use campaign::fnv1a;
 use reconfig::personality::crc_regs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use sysc::{Native, Next, ScheduleOrder, SimTime, Simulator};
 use vanillanet::{ArchSnapshot, ModelConfig, Platform};
 use workload::{Boot, BootParams, DONE_MARKER, PANIC_MARKER};
@@ -25,6 +26,10 @@ const BUDGET: u64 = 12_000_000;
 /// Cycles for the traced comparison runs: enough to cover reset,
 /// decompression and the first phase marker without a multi-MB VCD.
 const TRACE_CYCLES: u64 = 20_000;
+
+/// Per-call sequence for the traced runs' VCD file names: tests run on
+/// parallel threads and may boot under the same order at once.
+static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The perturbations under test. The issue's contract asks for at least
 /// three runnable-queue orders; quick mode keeps the two cheapest that
@@ -64,7 +69,8 @@ fn boot_under(order: ScheduleOrder, boot: &Boot) -> OrderDigest {
     // byte-identical file is the strongest schedule-independence witness.
     let dir = std::env::temp_dir().join("mbsim_sched_independence");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("sched_{}_{order}.vcd", std::process::id()));
+    let seq = TRACE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("sched_{}_{seq}_{order}.vcd", std::process::id()));
     let config = ModelConfig {
         schedule_order: order,
         trace_path: Some(path.clone()),
